@@ -10,13 +10,14 @@
 //	algorand-node    -id 2 -peers $BOOK -gateways 1 -rounds 5 &
 //	algorand-gateway -id 3 -peers $BOOK -gateways 1 -listen 127.0.0.1:8000 -rounds 5
 //
-// Clients submit transactions and run queries against -listen (the
-// node -submit-addr TCP/JSON protocol plus {"op":...} queries); the
-// gateway validates at the edge, routes admitted transactions to
-// deterministic consensus clusters, and answers reads from its
-// CommitAnnounce-fed read model. Consensus nodes carry zero client
-// connections. A gateway owns no stake and signs nothing, so it needs
-// no identity of its own — only the shared genesis derivation.
+// Clients submit transactions and run queries against -listen, the
+// deployment's only client endpoint (TCP/JSON transactions plus
+// {"op":...} queries); the gateway validates at the edge, routes
+// admitted transactions to deterministic consensus clusters, and
+// answers reads from its CommitAnnounce-fed read model. Consensus
+// nodes carry zero client connections. A gateway owns no stake and
+// signs nothing, so it needs no identity of its own — only the shared
+// genesis derivation.
 package main
 
 import (

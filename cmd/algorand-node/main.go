@@ -30,7 +30,6 @@ import (
 	"algorand/internal/params"
 	"algorand/internal/realnet"
 	"algorand/internal/trace"
-	"algorand/internal/txflow"
 	"algorand/internal/vtime"
 )
 
@@ -46,7 +45,6 @@ func main() {
 		stats    = flag.Bool("stats", false, "print per-peer transport statistics on exit")
 		statsSec = flag.Int("stats-interval", 0, "print a unified stats snapshot (rounds, BA⋆, pipeline, transport, disk) every N seconds (0 = off)")
 		metricsA = flag.String("metrics-addr", "", "listen address for the Prometheus-style text metrics endpoint (empty = off)")
-		submit   = flag.String("submit-addr", "", "listen address for the TCP/JSON transaction submission endpoint (empty = off)")
 		workers  = flag.Int("tx-workers", 4, "signature-verification workers for gossip batches (0 = verify inline)")
 		dataDir  = flag.String("data-dir", "", "directory for the durable WAL archive; restarts recover the chain from it (empty = in-memory only)")
 		chkEvery = flag.Uint64("checkpoint-interval", 0, "journal a certified state checkpoint every N finally-certified rounds; restarts re-base onto the newest verified checkpoint and replay only the delta (0 = off, needs -data-dir)")
@@ -118,8 +116,8 @@ func main() {
 	// With an access tier in the book, announce every commit so gateway
 	// read models follow the chain (one 44-byte frame per neighbor).
 	cfg.AnnounceCommits = *gateways > 0
-	// The RPC server submits from its own goroutines, so the pipeline
-	// clock must be readable off the scheduler: use the wall clock.
+	// The pipeline clock must be readable off the scheduler goroutine:
+	// use the wall clock.
 	epoch := time.Now()
 	cfg.TxFlow.Now = func() time.Duration { return time.Since(epoch) }
 	cfg.Metrics = reg
@@ -148,26 +146,20 @@ func main() {
 
 	var restored uint64
 	if archive != nil {
-		// Snapshot-first: re-base onto the newest on-disk checkpoint if
-		// its Merkle root and certificate verify (the disk is trusted no
-		// more than a peer), so the archive replay below covers only the
-		// delta past it.
-		if chk, ok := archive.Checkpoint(); ok {
-			adopted, err := nd.RestoreFromCheckpoint(chk)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "node %d: on-disk checkpoint rejected (%v), replaying the full archive\n", *id, err)
-			} else if adopted {
-				fmt.Printf("node %d re-based onto checkpoint at round %d\n", *id, chk.Round())
-			}
-		}
-		restored, err = nd.RestoreFromArchive(archive.Recovered())
+		// Snapshot-first: Restore re-bases onto the newest on-disk
+		// checkpoint if its Merkle root and certificate verify (the disk
+		// is trusted no more than a peer), so the archive replay covers
+		// only the delta past it; a rejected checkpoint leaves the full
+		// replay as the fallback.
+		chk, _ := archive.Checkpoint()
+		restored, err = nd.Restore(chk, archive.Recovered())
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "archive restore: %v\n", err)
 			os.Exit(1)
 		}
 		st := archive.Stats()
-		fmt.Printf("node %d recovered %d rounds from %s (%d records, %d bytes truncated, %d dropped)\n",
-			*id, restored, *dataDir, st.RecoveredRecords, st.TruncatedBytes, st.DroppedRecords)
+		fmt.Printf("node %d recovered %d rounds from %s to round %d (%d records, %d bytes truncated, %d dropped)\n",
+			*id, restored, *dataDir, nd.Ledger().ChainLength(), st.RecoveredRecords, st.TruncatedBytes, st.DroppedRecords)
 	}
 
 	pk := self.PublicKey()
@@ -183,15 +175,6 @@ func main() {
 		nd.Start()
 	}
 	defer nd.TxFlow().Close()
-	if *submit != "" {
-		srv, err := txflow.ListenAndServe(*submit, nd.TxFlow())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Printf("node %d accepting transactions on %s\n", *id, srv.Addr())
-	}
 	if *metricsA != "" {
 		mln, err := net.Listen("tcp", *metricsA)
 		if err != nil {

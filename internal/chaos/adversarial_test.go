@@ -185,9 +185,9 @@ func TestChaosAdversarialDirected(t *testing.T) {
 // restored liveness.
 func TestChaosTentativeForkStraggler(t *testing.T) {
 	res := runScenario(t, RandomScenario(20120))
-	adoptions := 0
+	adoptions := uint64(0)
 	for _, n := range res.Cluster.Nodes {
-		adoptions += n.ForkAdoptions
+		adoptions += n.Metrics().Counter("algorand_node_fork_adoptions_total", "").Load()
 	}
 	// The exact trajectory is seed- and code-path-sensitive; the hard
 	// assertions are the invariants above. Log whether the fork actually

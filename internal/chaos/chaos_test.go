@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"algorand/internal/crypto"
+	"algorand/internal/ledger"
 	"algorand/internal/sim"
 )
 
@@ -233,7 +234,7 @@ func TestChaosPartitionForks(t *testing.T) {
 	seen := map[uint64]crypto.Digest{}
 	for _, n := range res.Cluster.Nodes {
 		for _, st := range n.Stats {
-			if st.End == 0 || st.Round >= recoveryRoundBase {
+			if st.End == 0 || st.Round >= ledger.RecoveryRoundBase {
 				continue
 			}
 			if prev, ok := seen[st.Round]; ok && prev != st.Value {

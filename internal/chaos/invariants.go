@@ -3,18 +3,12 @@ package chaos
 import (
 	"fmt"
 
-	"algorand/internal/agreement"
 	"algorand/internal/crypto"
 	"algorand/internal/ledger"
 	"algorand/internal/node"
 	"algorand/internal/params"
 	"algorand/internal/sim"
 )
-
-// recoveryRoundBase mirrors the node package's recovery round offset:
-// Stats entries at or above it belong to §8.2 recovery consensus, not
-// to chain rounds.
-const recoveryRoundBase = 1 << 40
 
 // Violation is one broken invariant. Node is -1 when the violation is
 // not attributable to a single node.
@@ -98,7 +92,7 @@ func CheckInvariants(c *sim.Cluster, opt CheckOptions) []Violation {
 			continue
 		}
 		for _, st := range n.Stats {
-			if st.End == 0 || !st.Final || st.Round >= recoveryRoundBase {
+			if st.End == 0 || !st.Final || st.Round >= ledger.RecoveryRoundBase {
 				continue
 			}
 			if prev, ok := finalVal[st.Round]; ok {
@@ -190,7 +184,7 @@ func CheckInvariants(c *sim.Cluster, opt CheckOptions) []Violation {
 
 	// --- Certificate validity (§8.3) and seed-chain integrity (§5.2),
 	// walked over every honest node's committed chain.
-	maxStep := agreement.WireStepOfBinary(opt.Params.MaxSteps)
+	cp := node.CommitteeParamsFor(opt.Params)
 	for _, n := range c.Nodes {
 		if !honest(n.ID) {
 			continue
@@ -200,7 +194,7 @@ func CheckInvariants(c *sim.Cluster, opt CheckOptions) []Violation {
 		// recovery, which legitimately carries no certificate).
 		baCommitted := map[uint64]crypto.Digest{}
 		for _, st := range n.Stats {
-			if st.End > 0 && st.Round < recoveryRoundBase {
+			if st.End > 0 && st.Round < ledger.RecoveryRoundBase {
 				baCommitted[st.Round] = st.Value
 			}
 		}
@@ -244,39 +238,7 @@ func CheckInvariants(c *sim.Cluster, opt CheckOptions) []Violation {
 				}
 				continue
 			}
-			if cert.Round >= recoveryRoundBase {
-				// A §8.2 recovery adoption: its proof is the recovery
-				// round's certificate, re-verified from the self-describing
-				// recovery context.
-				cp := ledger.CommitteeParams{
-					TauStep:        opt.Params.TauStep,
-					StepThreshold:  opt.Params.StepThreshold(),
-					TauFinal:       opt.Params.TauFinal,
-					FinalThreshold: opt.Params.FinalThreshold(),
-					MaxStep:        maxStep,
-				}
-				if err := node.VerifyRecoveryCert(c.Provider, l, b, cert, cp); err != nil {
-					vs = append(vs, Violation{Kind: "bad-cert", Node: n.ID, Round: r,
-						Detail: fmt.Sprintf("recovery cert: %v", err)})
-				}
-				continue
-			}
-			if cert.Round != r || cert.Value != b.Hash() {
-				vs = append(vs, Violation{Kind: "bad-cert", Node: n.ID, Round: r,
-					Detail: fmt.Sprintf("certificate is for round %d value %x", cert.Round, cert.Value[:4])})
-				continue
-			}
-			tau, threshold := opt.Params.TauStep, opt.Params.StepThreshold()
-			if cert.Final {
-				tau, threshold = opt.Params.TauFinal, opt.Params.FinalThreshold()
-			} else if cert.Step > maxStep {
-				vs = append(vs, Violation{Kind: "bad-cert", Node: n.ID, Round: r,
-					Detail: fmt.Sprintf("certificate step %d beyond MaxSteps", cert.Step)})
-				continue
-			}
-			seed := l.SortitionSeed(r)
-			weights, total := l.SortitionWeights(r)
-			if err := cert.Verify(c.Provider, seed, weights, total, tau, threshold, prev.Hash()); err != nil {
+			if err := ledger.VerifyCertified(c.Provider, l, b, cert, cp); err != nil {
 				vs = append(vs, Violation{Kind: "bad-cert", Node: n.ID, Round: r,
 					Detail: err.Error()})
 			}

@@ -57,7 +57,7 @@ func SyncFastRestart(scale Scale, lengths []uint64, interval uint64, seed int64)
 		cfg.CheckpointInterval = interval
 		// Fast sync verifies checkpoint certificates from genesis
 		// committee context, so the whole chain must sit inside the
-		// first seed epoch (see node.VerifyCheckpoint).
+		// first seed epoch (see ledger.ErrContextUnavailable).
 		cfg.LedgerCfg.SeedRefreshInterval = 4 * L
 		dir, err := os.MkdirTemp("", "syncbench")
 		if err != nil {

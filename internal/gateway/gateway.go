@@ -6,8 +6,8 @@
 // A gateway
 //
 //   - accepts Submit/SubmitBatch plus query RPCs (tx status, balance,
-//     block-by-round) over the same TCP/JSON protocol as the node's
-//     -submit-addr endpoint (see Server);
+//     block-by-round) over a hardened TCP/JSON protocol — the
+//     deployment's only client endpoint (see Server);
 //   - validates signatures and nonces at the edge by reusing the
 //     txflow pipeline verbatim — structural checks, the TTL'd
 //     verified-signature cache, duplicate and stale-nonce filters,
@@ -395,11 +395,11 @@ func (g *Gateway) applyRun(blocks []*ledger.Block, certs []*ledger.Certificate) 
 	if err != nil {
 		g.c.certRejects.Inc()
 	}
-	for _, b := range applied {
+	for _, x := range applied {
 		g.c.blocksApplied.Inc()
 		// Nonce floors + pending eviction, same call the node makes on
 		// commit. balances is the read model's post-run state.
-		g.flow.Committed(b, balances)
+		g.flow.Committed(x.Block, balances)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"time"
@@ -14,10 +15,10 @@ import (
 	"algorand/internal/txflow"
 )
 
-// Server is the gateway's client-facing TCP/JSON endpoint. The
-// protocol is the node's -submit-addr protocol (newline-delimited
-// JSON, one reply per request — see txflow.Server) extended with
-// query ops, and hardened for hostile clients:
+// Server is the deployment's one client-facing TCP/JSON endpoint:
+// newline-delimited JSON, one reply per request, carrying transaction
+// submissions (TxJSON, singly or as a batch) and query ops, hardened
+// for hostile clients:
 //
 //   - at most MaxConns concurrent connections; the excess gets
 //     {"ok":false,"error":"gateway: connection limit",
@@ -82,12 +83,62 @@ type errorReply struct {
 	RetryAfterMs int64  `json:"retry_after_ms,omitempty"`
 }
 
-// batchReply mirrors txflow's submission reply shape.
+// TxJSON is the submission wire format: fixed-size fields in hex,
+// integers in decimal.
+type TxJSON struct {
+	From   string `json:"from"`
+	To     string `json:"to"`
+	Amount uint64 `json:"amount"`
+	Fee    uint64 `json:"fee,omitempty"`
+	Nonce  uint64 `json:"nonce"`
+	Sig    string `json:"sig"`
+}
+
+// Transaction converts the JSON form to the ledger type.
+func (j *TxJSON) Transaction() (*ledger.Transaction, error) {
+	tx := &ledger.Transaction{Amount: j.Amount, Fee: j.Fee, Nonce: j.Nonce}
+	if err := hexInto(j.From, tx.From[:]); err != nil {
+		return nil, fmt.Errorf("from: %w", err)
+	}
+	if err := hexInto(j.To, tx.To[:]); err != nil {
+		return nil, fmt.Errorf("to: %w", err)
+	}
+	sig, err := hex.DecodeString(j.Sig)
+	if err != nil || len(sig) == 0 || len(sig) > 128 {
+		return nil, errors.New("sig: bad hex or length")
+	}
+	tx.Sig = sig
+	return tx, nil
+}
+
+// FromTransaction renders a signed transaction for submission.
+func FromTransaction(tx *ledger.Transaction) TxJSON {
+	return TxJSON{
+		From:   hex.EncodeToString(tx.From[:]),
+		To:     hex.EncodeToString(tx.To[:]),
+		Amount: tx.Amount,
+		Fee:    tx.Fee,
+		Nonce:  tx.Nonce,
+		Sig:    hex.EncodeToString(tx.Sig),
+	}
+}
+
+// Result is the per-transaction reply. RetryAfterMs, when non-zero, is
+// the backoff hint for load-shedding rejects: the milliseconds the
+// sender should wait before resubmitting.
+type Result struct {
+	Ok           bool   `json:"ok"`
+	Error        string `json:"error,omitempty"`
+	RetryAfterMs int64  `json:"retry_after_ms,omitempty"`
+}
+
+// batchReply is the submission reply: one Result per transaction for
+// a batch.
 type batchReply struct {
-	Ok           bool            `json:"ok"`
-	Error        string          `json:"error,omitempty"`
-	RetryAfterMs int64           `json:"retry_after_ms,omitempty"`
-	Results      []txflow.Result `json:"results,omitempty"`
+	Ok           bool     `json:"ok"`
+	Error        string   `json:"error,omitempty"`
+	RetryAfterMs int64    `json:"retry_after_ms,omitempty"`
+	Results      []Result `json:"results,omitempty"`
 }
 
 // ListenAndServe opens the gateway endpoint.
@@ -222,7 +273,7 @@ func (s *Server) handle(raw []byte) any {
 }
 
 func (s *Server) handleSubmit(raw []byte) any {
-	var one txflow.TxJSON
+	var one TxJSON
 	if err := json.Unmarshal(raw, &one); err != nil {
 		s.gw.c.frameRejects.Inc()
 		return errorReply{Error: "bad tx: " + err.Error()}
@@ -242,17 +293,17 @@ func (s *Server) handleSubmit(raw []byte) any {
 }
 
 func (s *Server) handleBatch(raw []byte) any {
-	var batch []txflow.TxJSON
+	var batch []TxJSON
 	if err := json.Unmarshal(raw, &batch); err != nil {
 		s.gw.c.frameRejects.Inc()
 		return errorReply{Error: "bad batch: " + err.Error()}
 	}
 	txs := make([]*ledger.Transaction, len(batch))
-	results := make([]txflow.Result, len(batch))
+	results := make([]Result, len(batch))
 	for i := range batch {
 		tx, err := batch[i].Transaction()
 		if err != nil {
-			results[i] = txflow.Result{Error: err.Error()}
+			results[i] = Result{Error: err.Error()}
 			continue
 		}
 		txs[i] = tx
@@ -266,12 +317,12 @@ func (s *Server) handleBatch(raw []byte) any {
 		}
 		if err != nil {
 			ok = false
-			results[i] = txflow.Result{Error: err.Error()}
+			results[i] = Result{Error: err.Error()}
 			if retry, hok := txflow.RetryAfterHint(err); hok {
 				results[i].RetryAfterMs = retry.Milliseconds()
 			}
 		} else {
-			results[i] = txflow.Result{Ok: true}
+			results[i] = Result{Ok: true}
 		}
 	}
 	return batchReply{Ok: ok, Results: results}

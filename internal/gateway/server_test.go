@@ -8,8 +8,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"algorand/internal/txflow"
 )
 
 // serverHarness boots a gateway TCP endpoint against a stub transport.
@@ -53,7 +51,7 @@ func TestServerSubmitAndQuery(t *testing.T) {
 	c := dialT(t, srv.Addr())
 
 	tx := h.tx(t, 0, 1, 0)
-	j := txflow.FromTransaction(tx)
+	j := FromTransaction(tx)
 	raw, _ := json.Marshal(j)
 	rep := roundTrip(t, c, string(raw))
 	if rep["ok"] != true {
@@ -219,12 +217,12 @@ func TestServerBoundedUnderConnectionChurn(t *testing.T) {
 func TestServerBatchSubmitWithPartialRejects(t *testing.T) {
 	h, srv := serverHarness(t, Config{})
 	c := dialT(t, srv.Addr())
-	good := txflow.FromTransaction(h.tx(t, 0, 1, 0))
+	good := FromTransaction(h.tx(t, 0, 1, 0))
 	dup := good
 	tampered := h.tx(t, 2, 1, 0)
 	tampered.Sig[0] ^= 0xff // bad signature
-	badSig := txflow.FromTransaction(tampered)
-	raw, _ := json.Marshal([]txflow.TxJSON{good, dup, badSig})
+	badSig := FromTransaction(tampered)
+	raw, _ := json.Marshal([]TxJSON{good, dup, badSig})
 	rep := roundTrip(t, c, string(raw))
 	results := rep["results"].([]any)
 	if len(results) != 3 {

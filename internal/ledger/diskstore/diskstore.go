@@ -38,7 +38,7 @@
 // dropped and scanning resyncs at the next record. Recovered rounds are
 // replayed into an in-memory ledger.Store image; the node then
 // re-verifies every certificate against the chain before trusting any
-// of it (node.RestoreFromArchive), so the disk is trusted no more than
+// of it (node.Restore), so the disk is trusted no more than
 // a peer. Writing always starts a fresh segment — recovery never
 // appends to a file it just repaired.
 package diskstore
@@ -137,7 +137,7 @@ type Stats struct {
 }
 
 // recState is the durable image of one round, used to dedup journaling:
-// replaying already-durable rounds (restart's RestoreFromArchive path)
+// replaying already-durable rounds (restart's Restore path)
 // writes nothing.
 type recState struct {
 	hash      crypto.Digest
@@ -673,7 +673,7 @@ func (s *Store) Checkpoint() (*ledger.Checkpoint, bool) {
 // Recovered returns the in-memory image of the durable archive — what
 // Open restored plus everything appended since. The caller must treat
 // it as untrusted input (re-verify certificates) exactly as it would a
-// chain served by a peer; node.RestoreFromArchive does.
+// chain served by a peer; node.Restore does.
 func (s *Store) Recovered() *ledger.Store {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -99,7 +99,7 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 }
 
 // TestReplayIsNoOp: re-appending an already-durable chain (the restart
-// path: RestoreFromArchive replays the recovered store through the
+// path: node.Restore replays the recovered store through the
 // commit path) must journal nothing.
 func TestReplayIsNoOp(t *testing.T) {
 	dir := t.TempDir()

@@ -626,6 +626,14 @@ func TestCatchUpRejectsAbsurdCertificateStep(t *testing.T) {
 	if err == nil {
 		t.Fatal("absurd-step certificate accepted")
 	}
+	// A certificate whose votes were cast for another round must not
+	// prove this one, even where both rounds share seed and weights:
+	// otherwise the round number is a second grinding dimension.
+	wrongRound := p.makeCert(l, 7, 5, b.Hash(), tau, false)
+	if _, err := CatchUp(p.provider, DefaultConfig(), p.accounts, crypto.HashBytes("genesis-seed"),
+		[]*Block{b}, []*Certificate{wrongRound}, cp); err == nil {
+		t.Fatal("certificate for round 7 accepted for a round-1 block")
+	}
 	// The same certificate at a sane step passes.
 	sane := p.makeCert(l, 1, 5, b.Hash(), tau, false)
 	if _, err := CatchUp(p.provider, DefaultConfig(), p.accounts, crypto.HashBytes("genesis-seed"),

@@ -134,7 +134,7 @@ func (cp *Checkpoint) VerifyState() (*Balances, error) {
 // The checkpoint's structural integrity is re-verified here, but NOT
 // its certificate — the caller must have checked the certificate
 // against the committee before trusting the resulting ledger (see
-// node.VerifyCheckpoint).
+// VerifyCertified).
 func NewFromCheckpoint(p crypto.Provider, cfg Config, genesisAccounts map[crypto.PublicKey]uint64, seed0 crypto.Digest, cp *Checkpoint) (*Ledger, error) {
 	bal, err := cp.VerifyState()
 	if err != nil {

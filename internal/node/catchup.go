@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"algorand/internal/agreement"
-	"algorand/internal/crypto"
 	"algorand/internal/ledger"
 	"algorand/internal/network"
 	"algorand/internal/params"
@@ -74,158 +73,69 @@ func (n *Node) committeeParams() ledger.CommitteeParams {
 	return CommitteeParamsFor(n.cfg.Params)
 }
 
-// applyRound validates block b against certificate cert at the current
-// ledger head, commits it, and archives it — the trustless per-round
-// step shared by network catch-up and crash-restart archive replay.
-func (n *Node) applyRound(b *ledger.Block, cert *ledger.Certificate, cp ledger.CommitteeParams) error {
-	if cert.Value != b.Hash() {
-		return fmt.Errorf("round %d cert/block mismatch", b.Round)
-	}
-	if cert.Round >= recoveryRoundBase {
-		// The block was adopted by §8.2 recovery; its proof is the
-		// recovery round's certificate, verified from the self-describing
-		// recovery context instead of the chain round's.
-		if err := VerifyRecoveryCert(n.provider, n.ledger, b, cert, cp); err != nil {
-			return fmt.Errorf("round %d recovery cert: %w", b.Round, err)
-		}
-	} else {
-		seed := n.ledger.SortitionSeed(b.Round)
-		weights, total := n.ledger.SortitionWeights(b.Round)
-		tau, threshold := cp.TauStep, cp.StepThreshold
-		if cert.Final {
-			tau, threshold = cp.TauFinal, cp.FinalThreshold
-		} else if cp.MaxStep != 0 && cert.Step > cp.MaxStep {
-			return fmt.Errorf("round %d absurd step %d", b.Round, cert.Step)
-		}
-		if err := cert.Verify(n.provider, seed, weights, total, tau, threshold, n.ledger.HeadHash()); err != nil {
-			return fmt.Errorf("round %d cert: %w", b.Round, err)
+// applyRun commits a run through the ledger's run-apply and archives
+// what it committed: certified blocks with their certificates,
+// recovery adoptions forced onto the canonical chain.
+func (n *Node) applyRun(run []ledger.Certified) ([]ledger.Certified, error) {
+	done, err := n.ledger.ApplyRun(run, n.committeeParams())
+	for _, x := range done {
+		if x.Cert != nil {
+			n.persistPut(x.Block, x.Cert)
+		} else {
+			n.persistReconcile(x.Block, nil)
 		}
 	}
-	if err := n.ledger.ValidateBlock(b, b.Timestamp+n.cfg.LedgerCfg.MaxTimestampSkew); err != nil {
-		return fmt.Errorf("round %d block: %w", b.Round, err)
-	}
-	if err := n.ledger.Commit(b, cert); err != nil {
-		return fmt.Errorf("round %d commit: %w", b.Round, err)
-	}
-	n.persistPut(b, cert)
-	return nil
+	return done, err
 }
 
 // applyChainReply validates and commits a reply's blocks in order,
 // returning how many rounds advanced.
 func (n *Node) applyChainReply(reply *ChainReply) (int, error) {
-	cp := n.committeeParams()
-	certOf := make(map[crypto.Digest]*ledger.Certificate, len(reply.Certs))
-	for _, c := range reply.Certs {
-		certOf[c.Value] = c
+	done, err := n.applyRun(ledger.PairCerts(reply.Blocks, reply.Certs))
+	if err != nil {
+		err = fmt.Errorf("catchup: %w", err)
 	}
-	applied := 0
-	var pending []*ledger.Block
-	for _, b := range reply.Blocks {
-		if b.Round != n.ledger.NextRound()+uint64(len(pending)) {
-			continue // stale or ahead; ignore
-		}
-		cert, ok := certOf[b.Hash()]
-		if !ok {
-			// A §8.2 recovery adoption: no certificate of its own. It is
-			// acceptable only on the strength of a later certificate in
-			// this reply, whose block commits to it through PrevHash.
-			pending = append(pending, b)
-			continue
-		}
-		k, err := n.applyCertifiedRun(pending, b, cert, cp)
-		applied += k
-		pending = nil
-		if err != nil {
-			return applied, fmt.Errorf("catchup: %w", err)
-		}
-	}
-	// Trailing blocks with no certificate anchor are unverifiable; the
-	// sender should not have included them, and we must not trust them.
-	return applied, nil
+	return len(done), err
 }
 
-// applyCertifiedRun commits an uncertified prefix plus the certified
-// block cb on top of it. The certificate commits to cb, and cb commits
-// to every ancestor through the PrevHash chain, so one valid
-// certificate transitively validates the entire run (§8.3) — this is
-// what lets catch-up cross rounds the network adopted during fork
-// recovery, which carry no certificate of their own. The prefix is
-// committed tentatively; if the anchoring certificate fails to verify,
-// the head is restored and the tentative entries are left behind as a
-// dead side branch.
-func (n *Node) applyCertifiedRun(pending []*ledger.Block, cb *ledger.Block, cert *ledger.Certificate, cp ledger.CommitteeParams) (int, error) {
-	prevHead := n.ledger.HeadHash()
-	prev := prevHead
-	for _, b := range pending {
-		if b.PrevHash != prev {
-			return 0, fmt.Errorf("round %d breaks the hash chain", b.Round)
+// Restore rebuilds a restarted node's ledger from its own disk (§8.3),
+// trusting it no more than a peer. A checkpoint (nil = none) that
+// advances the chain is verified exactly like a served snapshot and,
+// if it passes, re-bases the ledger so the replay covers only the
+// delta past it; a failing one is counted and ignored, leaving the
+// full replay as the fallback. The archive src is then replayed from
+// the head, every block checked against its certificate. Replay stops
+// at the first round whose block or certificate is missing
+// (recovery-adopted blocks are committed without certificates, so gaps
+// are legitimate); the remainder is fetched from peers. Returns the
+// number of rounds replayed from the archive.
+func (n *Node) Restore(chk *ledger.Checkpoint, src *ledger.Store) (uint64, error) {
+	if chk != nil && chk.Round() > n.ledger.ChainLength() {
+		// adoptCheckpoint counts a failure and leaves the ledger
+		// untouched; the replay below is the fallback.
+		_ = n.adoptCheckpoint(chk)
+	}
+	var run []ledger.Certified
+	for r := n.ledger.NextRound(); ; r++ {
+		b, okB := src.Block(r)
+		c, okC := src.Cert(r)
+		if !okB || !okC {
+			break
 		}
-		prev = b.Hash()
+		run = append(run, ledger.Certified{Block: b, Cert: c})
 	}
-	if cb.PrevHash != prev {
-		return 0, fmt.Errorf("round %d certified block breaks the hash chain", cb.Round)
+	done, err := n.applyRun(run)
+	if err != nil {
+		err = fmt.Errorf("restore: %w", err)
 	}
-	for _, b := range pending {
-		if err := n.ledger.ValidateBlock(b, b.Timestamp+n.cfg.LedgerCfg.MaxTimestampSkew); err != nil {
-			n.ledger.SwitchHead(prevHead)
-			return 0, fmt.Errorf("round %d block: %w", b.Round, err)
-		}
-		if err := n.ledger.Commit(b, nil); err != nil {
-			n.ledger.SwitchHead(prevHead)
-			return 0, fmt.Errorf("round %d commit: %w", b.Round, err)
-		}
-	}
-	if err := n.applyRound(cb, cert, cp); err != nil {
-		n.ledger.SwitchHead(prevHead)
-		return 0, err
-	}
-	// The whole run is certificate-backed now; archive the prefix too.
-	for _, b := range pending {
-		n.persistReconcile(b, nil)
-	}
-	return len(pending) + 1, nil
+	return uint64(len(done)), err
 }
 
-// RestoreFromArchive replays a crashed node's archive (§8.3) into this
-// node's ledger, validating every block against its certificate exactly
-// as network catch-up does — the restarting node trusts its disk no more
-// than it trusts a peer. Replay stops at the first round whose block or
-// certificate is missing from the archive (recovery-adopted blocks are
-// committed without certificates, so gaps are legitimate); the remainder
-// is fetched from peers. Returns the number of rounds restored.
-func (n *Node) RestoreFromArchive(src *ledger.Store) (uint64, error) {
-	cp := n.committeeParams()
-	var restored uint64
-	for {
-		r := n.ledger.NextRound()
-		b, ok := src.Block(r)
-		if !ok {
-			return restored, nil
-		}
-		c, ok := src.Cert(r)
-		if !ok {
-			return restored, nil
-		}
-		if err := n.applyRound(b, c, cp); err != nil {
-			return restored, fmt.Errorf("restore: %w", err)
-		}
-		restored++
-	}
-}
-
-// SyncFromPeers catches the node's ledger up to the network (§8.3):
-// it repeatedly asks peers for the next run of blocks+certificates and
-// validates them from genesis state, stopping when no peer has more or
-// the deadline passes. It must run inside the node's scheduler; use
-// StartObserver for a convenient wrapper.
-func (n *Node) SyncFromPeers(p *vtime.Proc, deadline time.Duration) (uint64, error) {
-	return n.SyncFromPeersUntil(p, deadline, 0)
-}
-
-// SyncFromPeersUntil is SyncFromPeers with an optional target round:
-// once the ledger reaches it, the sync returns immediately instead of
-// probing peers until they run dry (target 0 = sync everything).
+// SyncFromPeersUntil catches the node's ledger up to the network
+// (§8.3): it repeatedly asks peers for the next run of blocks and
+// certificates and validates them from its current head, stopping when
+// no peer has more, the deadline passes, or the ledger reaches target
+// (0 = sync everything). It must run inside the node's scheduler.
 func (n *Node) SyncFromPeersUntil(p *vtime.Proc, deadline time.Duration, target uint64) (uint64, error) {
 	peers := n.net.Neighbors(n.ID)
 	if len(peers) == 0 {
@@ -338,14 +248,11 @@ func (n *Node) tryAdoptFork(reply *ChainReply) bool {
 	}
 	// …and must be certified strictly past our head, so the switch is
 	// backed by proof of a longer chain rather than taste.
-	certified := make(map[crypto.Digest]bool, len(reply.Certs))
-	for _, c := range reply.Certs {
-		certified[c.Value] = true
-	}
+	run := ledger.PairCerts(reply.Blocks[idx:], reply.Certs)
 	certifiedTo := uint64(0)
-	for _, b := range reply.Blocks[idx:] {
-		if certified[b.Hash()] {
-			certifiedTo = b.Round
+	for _, x := range run {
+		if x.Cert != nil {
+			certifiedTo = x.Block.Round
 		}
 	}
 	prevLen := n.ledger.ChainLength()
@@ -360,23 +267,21 @@ func (n *Node) tryAdoptFork(reply *ChainReply) bool {
 	if n.ledger.SwitchHead(parent.Hash()) != nil {
 		return false
 	}
-	sub := &ChainReply{Recipient: reply.Recipient, Blocks: reply.Blocks[idx:], Certs: reply.Certs}
-	if _, err := n.applyChainReply(sub); err != nil || n.ledger.ChainLength() <= prevLen {
+	done, err := n.ledger.ApplyRun(run, n.committeeParams())
+	if err != nil || n.ledger.ChainLength() <= prevLen {
 		n.ledger.SwitchHead(prevHead)
 		return false
 	}
-	// Force the archives onto the adopted branch, as §8.2 repair does: a
-	// restart must replay the canonical chain, not the abandoned fork.
-	certOf := make(map[crypto.Digest]*ledger.Certificate, len(reply.Certs))
-	for _, c := range reply.Certs {
-		certOf[c.Value] = c
-	}
-	for r := fork.Round; r <= n.ledger.ChainLength(); r++ {
-		if b, ok := n.ledger.BlockAt(r); ok {
-			n.persistReconcile(b, certOf[b.Hash()])
+	// Archive the adopted run and force the archives onto it, as §8.2
+	// repair does: a restart must replay the canonical chain, not the
+	// abandoned fork.
+	for _, x := range done {
+		if x.Cert != nil {
+			n.persistPut(x.Block, x.Cert)
 		}
+		n.persistReconcile(x.Block, x.Cert)
 	}
-	n.ForkAdoptions++
+	n.forkAdoptions.Inc()
 	if DebugCatchup != nil {
 		DebugCatchup(n.ID, fmt.Sprintf("adopted fork at round %d", fork.Round), n.ledger.ChainLength())
 	}
@@ -389,18 +294,6 @@ func (n *Node) catchupInbox() *vtime.Mailbox {
 		n.chainReplies = n.sim.NewMailbox()
 	}
 	return n.chainReplies
-}
-
-// StartObserver spawns a process that synchronizes this node from its
-// peers and then reports via done (chain length reached, error).
-func (n *Node) StartObserver(deadline time.Duration, done func(uint64, error)) {
-	n.sim.Spawn(fmt.Sprintf("node-%d-catchup", n.ID), func(p *vtime.Proc) {
-		n.proc = p
-		got, err := n.SyncFromPeers(p, deadline)
-		if done != nil {
-			done(got, err)
-		}
-	})
 }
 
 // trySyncBehind probes peers for committed rounds we are missing, in
@@ -462,11 +355,4 @@ func (n *Node) rejoinLoop(p *vtime.Proc, syncBudget time.Duration) {
 		}
 	}
 	n.run()
-}
-
-// ApplyForgedReplyForTest exposes applyChainReply for adversarial
-// tests: it applies a (possibly forged) chain reply and returns the
-// validation outcome.
-func (n *Node) ApplyForgedReplyForTest(blocks []*ledger.Block, certs []*ledger.Certificate) (int, error) {
-	return n.applyChainReply(&ChainReply{Blocks: blocks, Certs: certs, Recipient: n.ID})
 }

@@ -188,6 +188,10 @@ type Node struct {
 	// Round outcome counters (registry-backed views of Stats).
 	roundsTotal, roundsEmpty, roundsFinal *metrics.Counter
 	persistErrCounter                     *metrics.Counter
+	// Recovery-path counters: §8.2 recoveries, catch-up fork adoptions
+	// (see tryAdoptFork), fast syncs onto a peer checkpoint, and
+	// checkpoints refused as forged or set aside for lack of context.
+	recoveries, forkAdoptions, snapSyncs, snapRejects, snapNoContext *metrics.Counter
 
 	// Current consensus context, nil between rounds. The handler uses it
 	// to validate incoming messages.
@@ -242,19 +246,6 @@ type Node struct {
 	// alienVotes counts votes rejected for extending a different chain —
 	// the fork signal that triggers recovery participation (§8.2).
 	alienVotes int
-	// recovered counts completed recovery executions.
-	Recovered int
-	// ForkAdoptions counts catch-up fork adoptions: times this node
-	// abandoned a tentative suffix for a strictly longer certified chain
-	// served by peers (see tryAdoptFork).
-	ForkAdoptions int
-	// SnapshotSyncs counts fast syncs: times this node re-based its
-	// ledger onto a verified peer-served checkpoint.
-	SnapshotSyncs int
-	// SnapshotRejects counts peer-served snapshots that failed
-	// verification (tampered table, forged certificate, or insufficient
-	// context) and were refused.
-	SnapshotRejects int
 
 	// Behavior hooks for adversarial nodes (see sim package). When
 	// Misbehave is non-nil it is invoked instead of the honest proposal
@@ -351,6 +342,11 @@ func New(
 	n.roundsEmpty = cfg.Metrics.Counter("algorand_node_rounds_empty_total", "completed rounds that committed the empty block")
 	n.roundsFinal = cfg.Metrics.Counter("algorand_node_rounds_final_total", "completed rounds that reached final consensus")
 	n.persistErrCounter = cfg.Metrics.Counter("algorand_node_persist_errors_total", "archive writes that failed after retry")
+	n.recoveries = cfg.Metrics.Counter("algorand_node_recoveries_total", "completed §8.2 fork recoveries")
+	n.forkAdoptions = cfg.Metrics.Counter("algorand_node_fork_adoptions_total", "tentative suffixes abandoned for a longer certified peer chain")
+	n.snapSyncs = cfg.Metrics.Counter("algorand_node_snapshot_syncs_total", "ledger re-bases onto a verified peer checkpoint")
+	n.snapRejects = cfg.Metrics.Counter("algorand_node_snapshot_rejects_total", "checkpoints refused for failing verification")
+	n.snapNoContext = cfg.Metrics.Counter("algorand_node_snapshot_context_unavailable_total", "checkpoints set aside: genesis lacks their sortition context")
 	net.SetHandler(id, network.HandlerFunc(n.handleMessage))
 	return n
 }
@@ -435,7 +431,7 @@ func (n *Node) SubmitTx(tx *ledger.Transaction) error {
 // down silently at the next round boundary (an in-flight round can no
 // longer complete without the node's own votes). Ledger and Store keep
 // their state, as a crashed machine's disk would — a replacement node
-// for the same slot can RestoreFromArchive and rejoin.
+// for the same slot can Restore and rejoin.
 func (n *Node) Halt() { n.halted = true }
 
 // Halted reports whether the node has been crashed via Halt.
@@ -606,7 +602,7 @@ func (n *Node) handlePriority(msg *PriorityGossip, cost crypto.CostModel) networ
 	cpu := cost.VerifySig + cost.VRFVerify
 	m := &msg.M
 	ctx := n.ctx
-	if m.Round >= recoveryRoundBase && (ctx == nil || ctx.Round != m.Round) {
+	if m.Round >= ledger.RecoveryRoundBase && (ctx == nil || ctx.Round != m.Round) {
 		// §8.2 recovery contexts are self-describing: rebuild this one so
 		// the attempt's proposals verify, buffer, and relay even on nodes
 		// that are not (yet) inside that attempt.
@@ -647,7 +643,7 @@ func (n *Node) handleAnnounce(msg *BlockAnnounce, cost crypto.CostModel) network
 	cpu := cost.VerifySig + cost.VRFVerify
 	m := &msg.M
 	ctx := n.ctx
-	if m.Round >= recoveryRoundBase && (ctx == nil || ctx.Round != m.Round) {
+	if m.Round >= ledger.RecoveryRoundBase && (ctx == nil || ctx.Round != m.Round) {
 		ctx = n.recoveryCtxForRound(m.Round) // see handlePriority
 	}
 	if ctx == nil {
@@ -729,7 +725,7 @@ func (n *Node) handleBlock(msg *BlockGossip, cost crypto.CostModel) network.Verd
 	cpu := cost.VRFVerify + time.Duration(len(m.Block.Txns))*cost.VerifySig
 	round := m.Round()
 	ctx := n.ctx
-	if round >= recoveryRoundBase && (ctx == nil || ctx.Round != round) {
+	if round >= ledger.RecoveryRoundBase && (ctx == nil || ctx.Round != round) {
 		ctx = n.recoveryCtxForRound(round) // see handlePriority
 	}
 	if ctx == nil {
@@ -774,7 +770,7 @@ func (n *Node) storeBlockMsg(m *blockprop.BlockMsg) {
 // proposerRoleKind returns the sortition role kind for proposals in a
 // round: the fork-recovery rounds use their own role.
 func (n *Node) proposerRoleKind(round uint64) string {
-	if round >= recoveryRoundBase {
+	if round >= ledger.RecoveryRoundBase {
 		return sortition.RoleForkProposer
 	}
 	return sortition.RoleProposer

@@ -106,7 +106,7 @@ func TestForkRecovery(t *testing.T) {
 	// 3. Recovery must have run on most nodes.
 	recovered := 0
 	for _, n := range c.Nodes {
-		if n.Recovered > 0 {
+		if n.Metrics().Counter("algorand_node_recoveries_total", "").Load() > 0 {
 			recovered++
 		}
 	}
@@ -254,8 +254,9 @@ func TestObserverSyncsOverNetwork(t *testing.T) {
 	var gotRounds uint64
 	var syncErr error
 	synced := false
-	observer.StartObserver(c.Sim.Now()+2*time.Minute, func(n uint64, err error) {
-		gotRounds, syncErr = n, err
+	deadline := c.Sim.Now() + 2*time.Minute
+	c.Sim.Spawn("observer-sync", func(p *vtime.Proc) {
+		gotRounds, syncErr = observer.SyncFromPeersUntil(p, deadline, 0)
 		synced = true
 	})
 	c.Sim.Run(c.Sim.Now() + 3*time.Minute)

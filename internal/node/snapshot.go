@@ -1,10 +1,10 @@
 package node
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
-	"algorand/internal/crypto"
 	"algorand/internal/ledger"
 	"algorand/internal/network"
 	"algorand/internal/vtime"
@@ -36,7 +36,7 @@ func (n *Node) maybeCheckpoint(b *ledger.Block, c *ledger.Certificate) {
 	if interval == 0 || b.Round == 0 || b.Round%interval != 0 {
 		return
 	}
-	if c == nil || c.Value != b.Hash() || c.Round >= recoveryRoundBase {
+	if c == nil || c.Value != b.Hash() || c.Round >= ledger.RecoveryRoundBase {
 		return
 	}
 	if n.checkpoint != nil && n.checkpoint.Round() >= b.Round {
@@ -83,48 +83,52 @@ func (n *Node) snapshotInbox() *vtime.Mailbox {
 	return n.snapReplies
 }
 
-// VerifyCheckpoint checks a checkpoint as transferable proof that the
-// network committed its block, using only common knowledge: the
-// genesis state held by base. Structural integrity first (certificate
-// is for the block, account table hashes to the header's state root),
-// then the certificate itself against the committee that genesis
-// context derives for the checkpointed round. Returns an error when
-// the proof fails OR when base lacks the sortition context to judge it
-// — a checkpoint past the first seed-refresh epoch needs chain history
-// genesis alone cannot supply, and an unverifiable snapshot is treated
-// exactly like a forged one: refused.
-func VerifyCheckpoint(p crypto.Provider, base *ledger.Ledger, chk *ledger.Checkpoint, cp ledger.CommitteeParams) error {
+// verifyCheckpoint checks a checkpoint as transferable proof that the
+// network committed its block, using only common knowledge: a fresh
+// genesis ledger, so a hostile snapshot cannot lean on any state it
+// shipped. Structural integrity first (certificate is for the block,
+// account table hashes to the header's state root), then the
+// certificate itself through ledger.VerifyCertified, against the
+// committee that genesis context derives for the checkpointed round.
+// A checkpoint past the first seed-refresh epoch needs chain history
+// genesis alone cannot supply — for its own round or for the next
+// one, which the re-based ledger must judge — and fails with
+// ledger.ErrContextUnavailable: refused, but no evidence of forgery.
+func (n *Node) verifyCheckpoint(chk *ledger.Checkpoint) error {
 	if _, err := chk.VerifyState(); err != nil {
 		return err
 	}
-	c, b := chk.Cert, chk.Block
-	if c.Round >= recoveryRoundBase {
+	b := chk.Block
+	if chk.Cert.Round >= ledger.RecoveryRoundBase {
 		return fmt.Errorf("snapshot: round %d carries a recovery certificate, not syncable without chain context", b.Round)
 	}
-	if c.Round != b.Round {
-		return fmt.Errorf("snapshot: certificate round %d does not match block round %d", c.Round, b.Round)
+	base := ledger.New(n.provider, n.cfg.LedgerCfg, n.genesisAccounts, n.seed0)
+	if err := ledger.VerifyCertified(n.provider, base, b, chk.Cert, n.committeeParams()); err != nil {
+		return fmt.Errorf("snapshot: %w", err)
 	}
-	if !base.SortitionContextKnown(b.Round) || !base.SortitionContextKnown(b.Round+1) {
-		return fmt.Errorf("snapshot: round %d is past the genesis seed epoch, context unavailable", b.Round)
+	if !base.SortitionContextKnown(b.Round + 1) {
+		return fmt.Errorf("snapshot: %w for round %d", ledger.ErrContextUnavailable, b.Round+1)
 	}
-	seed := base.SortitionSeed(b.Round)
-	weights, total := base.SortitionWeights(b.Round)
-	tau, threshold := cp.TauStep, cp.StepThreshold
-	if c.Final {
-		tau, threshold = cp.TauFinal, cp.FinalThreshold
-	} else if cp.MaxStep != 0 && c.Step > cp.MaxStep {
-		return fmt.Errorf("snapshot: absurd certificate step %d", c.Step)
-	}
-	// Committee votes name the parent of the block they commit.
-	return c.Verify(p, seed, weights, total, tau, threshold, b.PrevHash)
+	return nil
 }
 
-// adoptCheckpoint re-bases the node's ledger onto a checkpoint that
-// has already been verified. The old ledger (and anything tentative on
-// it) is discarded; the checkpoint anchors finality.
+// adoptCheckpoint verifies chk and re-bases the node's ledger onto it.
+// The old ledger (and anything tentative on it) is discarded; the
+// checkpoint anchors finality. On failure the ledger is untouched, and
+// the checkpoint is counted as set aside (ledger.ErrContextUnavailable)
+// or as rejected.
 func (n *Node) adoptCheckpoint(chk *ledger.Checkpoint) error {
-	l, err := ledger.NewFromCheckpoint(n.provider, n.cfg.LedgerCfg, n.genesisAccounts, n.seed0, chk)
+	err := n.verifyCheckpoint(chk)
+	var l *ledger.Ledger
+	if err == nil {
+		l, err = ledger.NewFromCheckpoint(n.provider, n.cfg.LedgerCfg, n.genesisAccounts, n.seed0, chk)
+	}
+	if errors.Is(err, ledger.ErrContextUnavailable) {
+		n.snapNoContext.Inc()
+		return err
+	}
 	if err != nil {
+		n.snapRejects.Inc()
 		return err
 	}
 	n.ledger = l
@@ -145,17 +149,18 @@ func (n *Node) adoptCheckpoint(chk *ledger.Checkpoint) error {
 // our chain and adopts the first one that verifies, with backoff
 // between attempts. Peers serving snapshots that fail verification are
 // counted, reported to the transport's misbehavior scoring, and
-// skipped; the sync then continues with the next peer. Returns whether
-// the ledger was re-based — on false the caller falls back to full
-// replay from its current head (ultimately genesis), so a poisoned or
-// stale snapshot can delay a join but never corrupt or wedge it.
+// skipped; the sync then continues with the next peer. A snapshot
+// genesis cannot judge (past the first seed epoch) is skipped without
+// a report: an honest peer serves those. Returns whether the ledger
+// was re-based — on false the caller falls back to full replay from
+// its current head (ultimately genesis), so a poisoned or stale
+// snapshot can delay a join but never corrupt or wedge it.
 func (n *Node) trySnapshotSync(p *vtime.Proc) bool {
 	peers := n.net.Neighbors(n.ID)
 	if len(peers) == 0 {
 		return false
 	}
 	inbox := n.snapshotInbox()
-	committee := n.committeeParams()
 	for attempt, peer := range peers {
 		if attempt > 0 {
 			p.Sleep(time.Duration(attempt) * 500 * time.Millisecond)
@@ -177,61 +182,22 @@ func (n *Node) trySnapshotSync(p *vtime.Proc) bool {
 		if chk.Round() <= n.ledger.ChainLength() {
 			continue
 		}
-		// Verification context is pure common knowledge — a fresh genesis
-		// ledger — so a hostile snapshot cannot lean on any state it
-		// shipped us.
-		base := ledger.New(n.provider, n.cfg.LedgerCfg, n.genesisAccounts, n.seed0)
-		if err := VerifyCheckpoint(n.provider, base, chk, committee); err != nil {
-			n.SnapshotRejects++
+		if err := n.adoptCheckpoint(chk); err != nil {
 			if DebugCatchup != nil {
 				DebugCatchup(n.ID, fmt.Sprintf("snapshot from %d rejected: %v", peer, err), n.ledger.ChainLength())
 			}
-			if mr, ok := n.net.(MisbehaviorReporter); ok {
+			if mr, ok := n.net.(MisbehaviorReporter); ok && !errors.Is(err, ledger.ErrContextUnavailable) {
 				mr.ReportMisbehavior(peer, "snapshot failed verification")
 			}
 			continue
 		}
-		if err := n.adoptCheckpoint(chk); err != nil {
-			n.SnapshotRejects++
-			continue
-		}
-		n.SnapshotSyncs++
+		n.snapSyncs.Inc()
 		if DebugCatchup != nil {
 			DebugCatchup(n.ID, fmt.Sprintf("snapshot sync to round %d", chk.Round()), n.ledger.ChainLength())
 		}
 		return true
 	}
 	return false
-}
-
-// RestoreFromCheckpoint re-bases the node's ledger onto a checkpoint
-// recovered from its own archive. The disk is trusted no more than a
-// peer: the checkpoint is verified exactly like a served snapshot, and
-// a failure leaves the ledger untouched (the caller falls back to
-// genesis replay of the block archive). Adopt only if it advances the
-// chain.
-func (n *Node) RestoreFromCheckpoint(chk *ledger.Checkpoint) (bool, error) {
-	if chk == nil || chk.Round() <= n.ledger.ChainLength() {
-		return false, nil
-	}
-	base := ledger.New(n.provider, n.cfg.LedgerCfg, n.genesisAccounts, n.seed0)
-	if err := VerifyCheckpoint(n.provider, base, chk, n.committeeParams()); err != nil {
-		n.SnapshotRejects++
-		return false, err
-	}
-	if err := n.adoptCheckpoint(chk); err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
-// SyncFromSnapshotThenPeers is the full fast-sync recipe for a joining
-// or restarted node: snapshot-first (checkpoint plus delta), falling
-// back transparently to plain §8.3 catch-up from the current head when
-// no usable snapshot is available. Returns the chain length reached.
-func (n *Node) SyncFromSnapshotThenPeers(p *vtime.Proc, deadline time.Duration) (uint64, error) {
-	n.trySnapshotSync(p)
-	return n.SyncFromPeers(p, deadline)
 }
 
 // StartAfterSnapshotSync is StartAfterSync with the snapshot-first

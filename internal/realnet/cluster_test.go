@@ -240,7 +240,7 @@ func (c *realCluster) restart(i int, syncBudget, deadline time.Duration) {
 	oldStore := c.nodes[i].Store()
 	ln := c.rebind(i)
 	c.build(i, ln)
-	if _, err := c.nodes[i].RestoreFromArchive(oldStore); err != nil {
+	if _, err := c.nodes[i].Restore(nil, oldStore); err != nil {
 		c.t.Fatalf("restart node %d: archive replay: %v", i, err)
 	}
 	c.transports[i].Start()

@@ -396,17 +396,16 @@ func (c *Cluster) restartWith(i int, src *ledger.Store, archive *diskstore.Store
 	n.StopAfterRound = c.Cfg.Rounds
 	c.Nodes[i] = n
 	// Snapshot-first: when the recovered archive carries a state
-	// checkpoint, re-base onto it (after re-verifying its certificate
-	// and Merkle root — the disk is trusted no more than a peer) so the
-	// block replay below covers only the delta. A checkpoint failing
-	// verification is simply ignored: the ledger is untouched and the
-	// full genesis replay beneath remains the fallback.
+	// checkpoint, Restore re-bases onto it (after re-verifying its
+	// certificate and Merkle root — the disk is trusted no more than a
+	// peer) so the block replay covers only the delta. A checkpoint
+	// failing verification is simply ignored: the ledger is untouched
+	// and the full genesis replay remains the fallback.
+	var chk *ledger.Checkpoint
 	if archive != nil {
-		if chk, ok := archive.Checkpoint(); ok {
-			n.RestoreFromCheckpoint(chk)
-		}
+		chk, _ = archive.Checkpoint()
 	}
-	restored, err := n.RestoreFromArchive(src)
+	restored, err := n.Restore(chk, src)
 	if err != nil {
 		return n, restored, err
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -21,6 +22,18 @@ func snapshotConfig(n int, rounds, interval uint64) Config {
 	cfg.CheckpointInterval = interval
 	cfg.LedgerCfg.SeedRefreshInterval = 1000
 	return cfg
+}
+
+// Registry names of the node's snapshot-sync counters.
+const (
+	snapSyncs     = "algorand_node_snapshot_syncs_total"
+	snapRejects   = "algorand_node_snapshot_rejects_total"
+	snapNoContext = "algorand_node_snapshot_context_unavailable_total"
+)
+
+// counter reads one of a node's registry counters.
+func counter(n *node.Node, name string) uint64 {
+	return n.Metrics().Counter(name, "").Load()
 }
 
 // snapshotBase returns the snapshot anchor round of a re-based ledger:
@@ -70,11 +83,8 @@ func TestSnapshotFastSync(t *testing.T) {
 	if synced == nil {
 		t.Fatal("replacement never started")
 	}
-	if synced.SnapshotSyncs != 1 {
-		t.Fatalf("SnapshotSyncs = %d, want 1 (rejects %d)", synced.SnapshotSyncs, synced.SnapshotRejects)
-	}
-	if synced.SnapshotRejects != 0 {
-		t.Errorf("%d honest snapshots rejected", synced.SnapshotRejects)
+	if syncs, rejects := counter(synced, snapSyncs), counter(synced, snapRejects); syncs != 1 || rejects != 0 {
+		t.Fatalf("snapshot syncs = %d, rejects = %d; want 1 and 0", syncs, rejects)
 	}
 	l := synced.Ledger()
 	base := snapshotBase(l)
@@ -176,10 +186,10 @@ func TestSnapshotPoisoningFallback(t *testing.T) {
 	if poisoned == 0 {
 		t.Fatal("no tampered snapshot was ever served; scenario premise broken")
 	}
-	if synced.SnapshotSyncs != 0 {
-		t.Fatalf("a tampered snapshot was adopted (%d syncs)", synced.SnapshotSyncs)
+	if syncs := counter(synced, snapSyncs); syncs != 0 {
+		t.Fatalf("a tampered snapshot was adopted (%d syncs)", syncs)
 	}
-	if synced.SnapshotRejects == 0 {
+	if counter(synced, snapRejects) == 0 {
 		t.Fatal("tampered snapshots were never rejected")
 	}
 	l := synced.Ledger()
@@ -200,7 +210,81 @@ func TestSnapshotPoisoningFallback(t *testing.T) {
 		}
 	}
 	t.Logf("poisoning: %d tampered snapshots served, %d rejected, fallback chain %d",
-		poisoned, synced.SnapshotRejects, l.ChainLength())
+		poisoned, counter(synced, snapRejects), l.ChainLength())
+}
+
+// reportingNet is a transport that records the misbehavior reports a
+// node files against its peers.
+type reportingNet struct {
+	node.Transport
+	reports *[]string
+}
+
+func (r reportingNet) ReportMisbehavior(peer int, reason string) {
+	*r.reports = append(*r.reports, fmt.Sprintf("peer %d: %s", peer, reason))
+}
+
+// TestEpochCapSnapshotNotReported pins the seed-epoch cap as a missing
+// capability, not a peer fault: with a 4-round seed-refresh interval
+// every served checkpoint is past the first epoch, so genesis cannot
+// supply its sortition context. The joining node must set each one
+// aside without filing a misbehavior report against the honest peer
+// that served it, and still rejoin by full replay.
+func TestEpochCapSnapshotNotReported(t *testing.T) {
+	const rounds = 8
+	const victim = 3
+	cfg := snapshotConfig(12, rounds+2, 4)
+	cfg.LedgerCfg.SeedRefreshInterval = 4
+	c := NewCluster(cfg)
+
+	var reports []string
+	var synced *node.Node
+	c.Sim.Spawn("epoch-cap-test", func(p *vtime.Proc) {
+		for c.Nodes[victim].Ledger().ChainLength() < rounds {
+			p.Sleep(200 * time.Millisecond)
+		}
+		c.CrashNode(victim)
+		p.Sleep(2 * time.Second)
+		net := reportingNet{Transport: c.Net, reports: &reports}
+		synced = node.New(victim, c.Sim, net, c.Provider, c.ids[victim],
+			c.instrumentedNodeCfg(victim), c.Genesis, c.Seed0)
+		synced.StopAfterRound = cfg.Rounds
+		c.Nodes[victim] = synced
+		synced.StartAfterSnapshotSync(time.Hour)
+		target := c.Nodes[0].Ledger().ChainLength()
+		for synced.Ledger().ChainLength() < target {
+			p.Sleep(50 * time.Millisecond)
+		}
+	})
+	c.Run()
+
+	if synced == nil {
+		t.Fatal("replacement never started")
+	}
+	if len(reports) != 0 {
+		t.Fatalf("honest peers reported: %v", reports)
+	}
+	if n := counter(synced, snapNoContext); n == 0 {
+		t.Fatal("no checkpoint was set aside for lack of context; scenario premise broken")
+	}
+	if syncs, rejects := counter(synced, snapSyncs), counter(synced, snapRejects); syncs != 0 || rejects != 0 {
+		t.Fatalf("snapshot syncs = %d, rejects = %d; want 0 and 0", syncs, rejects)
+	}
+	l := synced.Ledger()
+	if base := snapshotBase(l); base != 0 {
+		t.Fatalf("ledger re-based onto round %d past the seed epoch", base)
+	}
+	ref := c.Nodes[0].Ledger()
+	if l.ChainLength() < rounds {
+		t.Fatalf("replay stuck at round %d, want >= %d", l.ChainLength(), rounds)
+	}
+	for r := uint64(1); r <= rounds; r++ {
+		mine, ok1 := l.BlockAt(r)
+		theirs, ok2 := ref.BlockAt(r)
+		if !ok1 || !ok2 || mine.Hash() != theirs.Hash() {
+			t.Fatalf("round %d diverged after replay", r)
+		}
+	}
 }
 
 // TestColdRestartCheckpointByteIdentity pins the recovery equivalence
